@@ -258,11 +258,18 @@ pub fn load_history(path: &Path) -> Result<HistoryLoad, String> {
 /// Median of a series; `0.0` for an empty one.
 #[must_use]
 pub fn median(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
+    median_of_sorted(&sorted)
+}
+
+/// [`median`] of a series already sorted by `f64::total_cmp`, read in
+/// place; `0.0` for an empty one.
+#[must_use]
+pub fn median_of_sorted(sorted: &[f64]) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let mid = sorted.len() / 2;
     if sorted.len() % 2 == 1 {
         sorted[mid]

@@ -19,6 +19,8 @@
 //!   real corruption (appends never write there) and stays a hard error
 //!   naming the line; `repro fsck` is the tool that digs further.
 
+use std::fs::File;
+use std::io::{BufRead as _, BufReader};
 use std::path::Path;
 
 use serde::Deserialize;
@@ -66,17 +68,28 @@ pub struct JsonlScan<T> {
 /// Returns an error naming the path for any I/O failure other than
 /// `NotFound`.
 pub fn read_lines(path: &Path) -> Result<Vec<(usize, String)>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+    lines(path)?.collect()
+}
+
+/// A non-blank line with its 1-based number, or the read error that ends
+/// the file.
+type NumberedLine = Result<(usize, String), String>;
+
+/// The non-blank lines of a JSONL file, read through a buffer one at a
+/// time so a scan never holds the whole file next to its parsed records.
+/// A missing file has no lines.
+fn lines(path: &Path) -> Result<impl Iterator<Item = NumberedLine> + '_, String> {
+    let file = match File::open(path) {
+        Ok(f) => Some(f),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
-    Ok(text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| (i + 1, line.to_owned()))
-        .collect())
+    let lines = file.into_iter().flat_map(|f| BufReader::new(f).lines());
+    Ok(lines.enumerate().filter_map(move |(i, line)| match line {
+        Ok(line) if line.trim().is_empty() => None,
+        Ok(line) => Some(Ok((i + 1, line))),
+        Err(e) => Some(Err(format!("read {}: {e}", path.display()))),
+    }))
 }
 
 /// Scans a JSONL file into typed records, tolerating a torn trailing line.
@@ -90,23 +103,25 @@ pub fn read_lines(path: &Path) -> Result<Vec<(usize, String)>, String> {
 ///
 /// I/O failures (other than a missing file) and mid-file malformed lines.
 pub fn scan<T: Deserialize>(path: &Path) -> Result<JsonlScan<T>, String> {
-    let lines = read_lines(path)?;
-    let mut records = Vec::with_capacity(lines.len());
+    let mut records = Vec::new();
     let mut torn = None;
-    let last = lines.len();
-    for (seq, (line_no, line)) in lines.iter().enumerate() {
-        match serde_json::from_str::<T>(line) {
+    let mut lines = lines(path)?.peekable();
+    while let Some(next) = lines.next() {
+        let (line_no, line) = next?;
+        match serde_json::from_str::<T>(&line) {
             Ok(record) => records.push(record),
-            Err(e) if seq + 1 == last => {
-                torn = Some(TornTail {
-                    line: *line_no,
-                    bytes: line.len(),
-                    error: e.to_string(),
-                });
-            }
-            Err(e) => {
-                return Err(format!("{}:{}: {e}", path.display(), line_no));
-            }
+            Err(e) => match lines.peek() {
+                None => {
+                    torn = Some(TornTail {
+                        line: line_no,
+                        bytes: line.len(),
+                        error: e.to_string(),
+                    });
+                }
+                Some(Ok(_)) => return Err(format!("{}:{}: {e}", path.display(), line_no)),
+                // The read error surfaces on the next step.
+                Some(Err(_)) => {}
+            },
         }
     }
     Ok(JsonlScan { records, torn })
@@ -207,6 +222,25 @@ mod tests {
         std::fs::write(&path, format!("not json at all\n{good}\n")).unwrap();
         let err = scan::<Rec>(&path).unwrap_err();
         assert!(err.contains(":1:"), "{err}");
+    }
+
+    #[test]
+    fn undecodable_bytes_are_a_read_error_wherever_they_sit() {
+        let path = tmp("utf8.jsonl");
+        let good = serde_json::to_string(&Rec {
+            id: 1,
+            name: "ok".into(),
+        })
+        .unwrap();
+        for bytes in [
+            [good.as_bytes(), b"\n\xff\xfe\n", good.as_bytes(), b"\n"].concat(),
+            [good.as_bytes(), b"\n{\"id\":2,\xff"].concat(),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = scan::<Rec>(&path).unwrap_err();
+            assert!(err.starts_with("read "), "{err}");
+            assert!(read_lines(&path).unwrap_err().starts_with("read "));
+        }
     }
 
     #[test]

@@ -24,16 +24,29 @@
 //! and the outlier gate — the only guard that could reject *correct* data —
 //! runs last, so a corrupt record is always named by its corruption, not by
 //! the absurd values the corruption produced.
+//!
+//! # Cost
+//!
+//! A batch loads the store once and keeps every `(suite, workload)` speedup
+//! series sorted by `f64::total_cmp`: O(S log S) to build for a store of S
+//! values, and one binary-search insert (a memmove) per accepted value.
+//! Against a series of m prior values the outlier gate then costs O(1) for
+//! the median ([`median_of_sorted`]) and O(log m) for the MAD, with no
+//! allocation, so judging a batch of B records of W workloads is
+//! O(B·W·log m). The statistics are bitwise those of
+//! [`hiermeans_obs::history::median`] and [`hiermeans_obs::history::mad`]
+//! over the same values in store order, which clone and sort the whole
+//! series on every call.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use hiermeans_linalg::{validate, Matrix};
-use hiermeans_obs::history::{mad, median};
+use hiermeans_obs::history::median_of_sorted;
 use hiermeans_obs::{Collector, ResilienceEvent};
 
 use crate::quarantine::{QuarantineRecord, RejectReason};
-use crate::store::ResultStore;
+use crate::store::{ResultStore, StoreLock};
 use crate::submission::{Submission, STORE_SCHEMA_VERSION};
 
 /// Tuning for the statistical outlier guard.
@@ -145,8 +158,10 @@ impl IngestReport {
 /// lock and folded forward as the batch's own acceptances land.
 struct FleetState {
     hashes: HashSet<String>,
-    /// Per (suite, workload) speedup series, in store order.
-    series: HashMap<(String, String), Vec<f64>>,
+    /// Per suite, per workload speedup series, each sorted by
+    /// `f64::total_cmp` so the outlier gate reads order statistics
+    /// directly.
+    series: HashMap<String, HashMap<String, Vec<f64>>>,
 }
 
 impl FleetState {
@@ -156,7 +171,13 @@ impl FleetState {
             series: HashMap::new(),
         };
         for sub in subs {
-            state.absorb(sub);
+            state.hashes.insert(sub.content_hash());
+            for (w, &v) in sub.workloads.iter().zip(&sub.speedups) {
+                state.series_mut(&sub.suite, w).push(v);
+            }
+        }
+        for series in state.series.values_mut().flat_map(HashMap::values_mut) {
+            series.sort_by(f64::total_cmp);
         }
         state
     }
@@ -164,11 +185,59 @@ impl FleetState {
     fn absorb(&mut self, sub: &Submission) {
         self.hashes.insert(sub.content_hash());
         for (w, &v) in sub.workloads.iter().zip(&sub.speedups) {
-            self.series
-                .entry((sub.suite.clone(), w.clone()))
-                .or_default()
-                .push(v);
+            let series = self.series_mut(&sub.suite, w);
+            let at = series.partition_point(|x| x.total_cmp(&v).is_lt());
+            series.insert(at, v);
         }
+    }
+
+    fn series_mut(&mut self, suite: &str, workload: &str) -> &mut Vec<f64> {
+        self.series
+            .entry(suite.to_owned())
+            .or_default()
+            .entry(workload.to_owned())
+            .or_default()
+    }
+}
+
+/// [`hiermeans_obs::history::mad`] of a sorted series whose median is
+/// `med`, without allocating.
+///
+/// The deviations `|x - med|` fall as `x` rises below the median and rise
+/// above it, so read outward from the split they form two ascending runs.
+/// Each order statistic of their merge is found by a binary search over how
+/// many elements the lower run contributes: O(log m).
+fn sorted_mad(sorted: &[f64], med: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let (below, above) = sorted.split_at(sorted.partition_point(|&x| x < med));
+    let lo = |i: usize| (below[below.len() - 1 - i] - med).abs();
+    let hi = |j: usize| (above[j] - med).abs();
+    // The k-th smallest deviation (0-based): the largest of the first k + 1
+    // in merged order, i of them from `lo` and the rest from `hi`.
+    let kth = |k: usize| {
+        let take = k + 1;
+        let (mut a, mut b) = (take.saturating_sub(above.len()), take.min(below.len()));
+        while a < b {
+            let i = a + (b - a) / 2;
+            if hi(take - i - 1) <= lo(i) {
+                b = i;
+            } else {
+                a = i + 1;
+            }
+        }
+        match (a, take - a) {
+            (0, j) => hi(j - 1),
+            (i, 0) => lo(i - 1),
+            (i, j) => lo(i - 1).max(hi(j - 1)),
+        }
+    };
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        kth(mid)
+    } else {
+        (kth(mid - 1) + kth(mid)) / 2.0
     }
 }
 
@@ -244,15 +313,16 @@ fn judge(sub: &Submission, fleet: &FleetState, cfg: &IngestConfig) -> Result<Str
     if fleet.hashes.contains(&hash) {
         return Err(RejectReason::Duplicate { content_hash: hash });
     }
+    let suite_series = fleet.series.get(sub.suite.as_str());
     for (w, &v) in sub.workloads.iter().zip(&sub.speedups) {
-        let Some(series) = fleet.series.get(&(sub.suite.clone(), w.clone())) else {
+        let Some(series) = suite_series.and_then(|s| s.get(w.as_str())) else {
             continue;
         };
         if series.len() < cfg.outlier_min_prior {
             continue;
         }
-        let med = median(series);
-        let spread = mad(series);
+        let med = median_of_sorted(series);
+        let spread = sorted_mad(series, med);
         let margin = (cfg.outlier_k * spread).max(cfg.outlier_rel_floor * med);
         if (v - med).abs() > margin {
             return Err(RejectReason::Outlier {
@@ -281,6 +351,17 @@ pub fn ingest_submissions(
     collector: &Collector,
 ) -> Result<IngestReport, String> {
     let lock = store.lock_exclusive()?;
+    ingest_locked(store, &lock, submissions, cfg, collector)
+}
+
+/// [`ingest_submissions`] under a lock the caller already holds.
+fn ingest_locked(
+    store: &ResultStore,
+    lock: &StoreLock,
+    submissions: &[Submission],
+    cfg: &IngestConfig,
+    collector: &Collector,
+) -> Result<IngestReport, String> {
     let scan = store.load()?;
     let mut fleet = FleetState::from_submissions(&scan.records);
     let mut report = IngestReport::default();
@@ -290,7 +371,7 @@ pub fn ingest_submissions(
             Ok(content_hash) => {
                 let line =
                     serde_json::to_string(sub).map_err(|e| format!("encode submission: {e}"))?;
-                if let Some(note) = store.append_line(&lock, &line)? {
+                if let Some(note) = store.append_line(lock, &line)? {
                     collector.record_resilience(ResilienceEvent::Store {
                         action: "torn_tail_repaired".to_owned(),
                         detail: note.clone(),
@@ -306,7 +387,7 @@ pub fn ingest_submissions(
                 // quarantine holds exactly what was rejected.
                 let raw = serde_json::to_string(sub).unwrap_or_else(|_| identity.clone());
                 store.append_quarantine(
-                    &lock,
+                    lock,
                     &QuarantineRecord::new(&sub.machine, &sub.suite, reason.clone(), &raw),
                 )?;
                 collector.record_resilience(ResilienceEvent::Store {
@@ -349,19 +430,19 @@ pub fn ingest_lines(
             Err(e) => parsed.push(Err((i + 1, line.to_owned(), e.to_string()))),
         }
     }
-    // Judge the parseable ones in one locked batch, then splice the
-    // malformed lines back into input order.
+    // One lock for the whole batch: judge the parseable ones, quarantine
+    // the malformed lines, and splice them back into input order.
     let subs: Vec<Submission> = parsed
         .iter()
         .filter_map(|p| p.as_ref().ok().cloned())
         .collect();
-    let batch = ingest_submissions(store, &subs, cfg, collector)?;
+    let lock = store.lock_exclusive()?;
+    let batch = ingest_locked(store, &lock, &subs, cfg, collector)?;
     let mut batch_outcomes = batch.outcomes.into_iter();
     let mut report = IngestReport {
         outcomes: Vec::with_capacity(parsed.len()),
         repairs: batch.repairs,
     };
-    let lock = store.lock_exclusive()?;
     for p in parsed {
         match p {
             Ok(_) => {
@@ -393,6 +474,8 @@ pub fn ingest_lines(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hiermeans_obs::history::{mad, median};
+    use proptest::prelude::*;
 
     fn scratch(name: &str) -> ResultStore {
         let dir = std::env::temp_dir().join(format!("hm_ingest_{}", std::process::id()));
@@ -570,5 +653,122 @@ mod tests {
             matches!(&events[0], ResilienceEvent::Store { action, .. } if action == "quarantined")
         );
         assert!(report.render().contains("1 accepted, 1 quarantined"));
+    }
+
+    #[test]
+    fn a_batch_holds_the_lock_across_its_malformed_lines() {
+        let store = scratch("one_lock.jsonl");
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let store = store.clone();
+                scope.spawn(move || {
+                    for i in 0..8 {
+                        let mut bad = submission(&format!("t{t}-{i}"), 2.0);
+                        bad.speedups[0] = 3.0;
+                        let bad = serde_json::to_string(&bad).unwrap();
+                        let text = format!("{bad}\nnot a record t{t}-{i}\n");
+                        let collector = Collector::disabled();
+                        ingest_lines(&store, &text, &IngestConfig::default(), &collector).unwrap();
+                    }
+                });
+            }
+        });
+        // Each batch's parsed reject and its malformed line land side by
+        // side: no other writer's batch gets between them.
+        let records = store.load_quarantine().unwrap().records;
+        assert_eq!(records.len(), 64);
+        for pair in records.chunks(2) {
+            let tag = &pair[0].machine;
+            assert_eq!(pair[0].reason.kind(), "checksum_mismatch");
+            assert_eq!(pair[1].raw, format!("not a record {tag}"));
+        }
+    }
+
+    fn assert_matches_history(values: &[f64]) {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let med = median_of_sorted(&sorted);
+        assert_eq!(
+            med.to_bits(),
+            median(values).to_bits(),
+            "median of {values:?}"
+        );
+        assert_eq!(
+            sorted_mad(&sorted, med).to_bits(),
+            mad(values).to_bits(),
+            "mad of {values:?}"
+        );
+    }
+
+    #[test]
+    fn sorted_statistics_match_history_on_edge_cases() {
+        assert_eq!(sorted_mad(&[], 0.0), 0.0);
+        for values in [
+            vec![3.0],
+            vec![1.0, 3.0],
+            vec![5.0, 1.0, 3.0],
+            vec![2.0; 7],
+            vec![2.0; 8],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+            vec![1.0, 1.0, 1.0, 9.0, 1e9],
+            vec![1e-300, 1e300, 1e300, 2.5],
+            vec![0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1e6],
+        ] {
+            assert_matches_history(&values);
+        }
+    }
+
+    /// Series of every length from 1 up, drawn from a pool of `pool`
+    /// mantissas (heavy ties when small) across `2·decades + 1` orders of
+    /// magnitude, some with a continuous jitter that breaks the ties.
+    fn series() -> impl Strategy<Value = Vec<f64>> {
+        (1usize..160, 1u32..12, 0i32..7).prop_flat_map(|(len, pool, decades)| {
+            prop::collection::vec((0..pool, -decades..decades + 1, 0u32..4, 0.0..1.0f64), len)
+                .prop_map(move |cells| {
+                    cells
+                        .into_iter()
+                        .map(|(m, e, mode, jitter)| {
+                            let mantissa = 1.0 + f64::from(m) / f64::from(pool);
+                            let mantissa = if mode == 0 {
+                                mantissa + jitter
+                            } else {
+                                mantissa
+                            };
+                            mantissa * 10f64.powi(e)
+                        })
+                        .collect()
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn sorted_statistics_are_bitwise_history_statistics(values in series()) {
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let med = median_of_sorted(&sorted);
+            prop_assert_eq!(med.to_bits(), median(&values).to_bits());
+            prop_assert_eq!(sorted_mad(&sorted, med).to_bits(), mad(&values).to_bits());
+        }
+
+        #[test]
+        fn absorbed_series_stay_sorted(values in series()) {
+            let subs: Vec<Submission> = values
+                .iter()
+                .map(|&v| Submission::new("m", "s", vec!["w".into()], vec![v], vec![vec![0.0]]))
+                .collect();
+            let (head, tail) = subs.split_at(subs.len() / 2);
+            let mut state = FleetState::from_submissions(head);
+            for sub in tail {
+                state.absorb(sub);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let got: Vec<u64> = state.series["s"]["w"].iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = sorted.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -147,6 +147,10 @@ impl ResultStore {
 
     /// Truncates a torn trailing fragment (missing final newline), leaving
     /// the file ending at the last complete line. Returns the repair note.
+    ///
+    /// A clean file is judged by its last byte alone, so the check costs
+    /// the same however large the store grows; only a torn file is read
+    /// whole, to find the last complete line.
     fn truncate_torn_tail(&self, file: &mut File) -> Result<Option<String>, String> {
         let display = self.path.display();
         let len = file
@@ -156,14 +160,19 @@ impl ResultStore {
         if len == 0 {
             return Ok(None);
         }
+        file.seek(SeekFrom::Start(len - 1))
+            .map_err(|e| format!("seek {display}: {e}"))?;
+        let mut last = [0u8; 1];
+        file.read_exact(&mut last)
+            .map_err(|e| format!("read {display}: {e}"))?;
+        if last == [b'\n'] {
+            return Ok(None);
+        }
         file.seek(SeekFrom::Start(0))
             .map_err(|e| format!("seek {display}: {e}"))?;
         let mut bytes = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
         file.read_to_end(&mut bytes)
             .map_err(|e| format!("read {display}: {e}"))?;
-        if bytes.last() == Some(&b'\n') {
-            return Ok(None);
-        }
         let keep = bytes
             .iter()
             .rposition(|&b| b == b'\n')
@@ -305,6 +314,75 @@ mod tests {
         assert_eq!(scan.records.len(), 2);
         assert!(scan.torn.is_none(), "repair must leave a clean store");
         assert_eq!(scan.records[1].machine, "b");
+    }
+
+    #[test]
+    fn append_to_an_empty_file_needs_no_repair() {
+        let store = scratch("torn_empty.jsonl");
+        std::fs::write(store.path(), b"").unwrap();
+        let lock = store.lock_exclusive().unwrap();
+        assert_eq!(store.append_line(&lock, "{}").unwrap(), None);
+        assert_eq!(std::fs::read(store.path()).unwrap(), b"{}\n");
+    }
+
+    #[test]
+    fn a_lone_fragment_is_truncated_to_nothing() {
+        let store = scratch("torn_lone.jsonl");
+        std::fs::write(store.path(), b"{\"machine\":\"half").unwrap();
+        let lock = store.lock_exclusive().unwrap();
+        let note = store
+            .append_line(&lock, "{}")
+            .unwrap()
+            .expect("a fragment with no newline is torn");
+        assert!(
+            note.ends_with("torn trailing fragment (16 bytes) before append"),
+            "{note}"
+        );
+        assert_eq!(std::fs::read(store.path()).unwrap(), b"{}\n");
+    }
+
+    #[test]
+    fn a_large_clean_store_is_left_untouched() {
+        let store = scratch("torn_clean.jsonl");
+        let line = serde_json::to_string(&sealed("a")).unwrap();
+        let mut bytes = Vec::new();
+        for _ in 0..2_000 {
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
+        }
+        std::fs::write(store.path(), &bytes).unwrap();
+        let lock = store.lock_exclusive().unwrap();
+        assert_eq!(store.append_line(&lock, "{}").unwrap(), None);
+        bytes.extend_from_slice(b"{}\n");
+        assert_eq!(std::fs::read(store.path()).unwrap(), bytes);
+    }
+
+    #[test]
+    fn a_torn_quarantine_sidecar_is_repaired_before_append() {
+        let store = scratch("torn_quar.jsonl");
+        let lock = store.lock_exclusive().unwrap();
+        let rec = |raw: &str| {
+            QuarantineRecord::new(
+                "m",
+                "paper",
+                RejectReason::Malformed {
+                    error: "nope".into(),
+                },
+                raw,
+            )
+        };
+        store.append_quarantine(&lock, &rec("first")).unwrap();
+        let mut bytes = std::fs::read(store.quarantine_path()).unwrap();
+        let clean_len = bytes.len();
+        bytes.extend_from_slice(b"{\"schema_version\":1,\"mach");
+        std::fs::write(store.quarantine_path(), &bytes).unwrap();
+        store.append_quarantine(&lock, &rec("second")).unwrap();
+        drop(lock);
+        let after = std::fs::read(store.quarantine_path()).unwrap();
+        assert_eq!(after[..clean_len], bytes[..clean_len]);
+        let scan = store.load_quarantine().unwrap();
+        assert!(scan.torn.is_none(), "repair must leave a clean sidecar");
+        assert_eq!(scan.records, vec![rec("first"), rec("second")]);
     }
 
     #[test]

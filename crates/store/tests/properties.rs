@@ -19,6 +19,9 @@
 //! Value domains are positive finite (speedups) and finite (vectors) — the
 //! domains the ingest guards enforce.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use hiermeans_obs::Collector;
@@ -52,15 +55,33 @@ fn build(raw: &RawSub) -> Submission {
     .expect("finite values always seal")
 }
 
-fn scratch(name: &str) -> ResultStore {
-    let dir = std::env::temp_dir().join(format!("hm_props_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let store = ResultStore::new(&path);
-    for p in [path.clone(), store.quarantine_path(), store.lock_path()] {
-        let _ = std::fs::remove_file(p);
+/// A store in a directory of its own, unique per process, thread and call,
+/// so concurrently running properties and successive cases never share a
+/// file. The directory is removed on drop.
+struct Scratch {
+    dir: PathBuf,
+    store: ResultStore,
+}
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "hm_props_{}_{:?}_{}",
+            std::process::id(),
+            std::thread::current().id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = ResultStore::new(dir.join(name));
+        Scratch { dir, store }
     }
-    store
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 proptest! {
@@ -128,18 +149,19 @@ proptest! {
 
         // A store holding one good record plus the mangled line never
         // panics any reader, and fsck classifies every line.
-        let store = scratch("corrupt.jsonl");
+        let scratch = Scratch::new("corrupt.jsonl");
+        let store = &scratch.store;
         let good = serde_json::to_string(&sub).unwrap();
         std::fs::write(store.path(), format!("{good}\n{mangled}\n")).unwrap();
-        let report = fsck::fsck(&store, false, &Collector::disabled()).unwrap();
+        let report = fsck::fsck(store, false, &Collector::disabled()).unwrap();
         prop_assert_eq!(report.lines, report.valid + report.problems.len());
         prop_assert!(report.valid >= 1, "the good record must survive");
 
         // Ingesting the mangled text as a batch is total: a report, not an
         // error, not a panic.
-        let ingest_store = scratch("corrupt_ingest.jsonl");
+        let ingest_scratch = Scratch::new("corrupt_ingest.jsonl");
         let outcome = ingest_lines(
-            &ingest_store,
+            &ingest_scratch.store,
             &format!("{mangled}\n"),
             &IngestConfig::default(),
             &Collector::disabled(),
